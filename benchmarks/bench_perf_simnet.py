@@ -1,6 +1,6 @@
 """Microbenchmarks for the incremental fair-share allocation engine.
 
-Three scenarios pin the before/after of the allocator work:
+Two scenarios pin the before/after of the allocator work:
 
 * **dense surge** — a Snowflake-surge-style population: hundreds of
   concurrent flows funnelling through one bridge plus shared relay
@@ -8,17 +8,13 @@ Three scenarios pin the before/after of the allocator work:
   reference water-filling by at least 5x here (acceptance criterion).
 * **churn storm** — start/abort/complete storms through the full
   :class:`FluidNetwork`, exercising epoch batching, per-class progress
-  accounting, and the per-class min-ETA scheduler on top of the
-  allocator itself. Both engines run the *same* seeded workload, so the
-  bench also asserts per-flow completion facts are bit-identical.
-* **warm-start churn** — repeated single-flow churn against a large
-  multi-round solution: consecutive reallocations differ by one class,
-  so the warm-started allocator replays almost every round instead of
-  recomputing it, bit-identically.
+  accounting, and the per-class ETA scheduler on top of the allocator
+  itself. Both engines run the *same* seeded workload, so the bench
+  also asserts per-flow completion facts are bit-identical.
 
 Perf-counter totals are printed with each benchmark so regressions in
-collapsing ratio, coalescing, or warm-start replay show up in CI
-output, not just wall clock. Run with ``--benchmark-disable`` for a
+collapsing ratio or coalescing show up in CI output, not just wall
+clock. Run with ``--benchmark-disable`` for a
 fast smoke check.
 """
 
@@ -195,68 +191,3 @@ def test_perf_churn_storm_network(benchmark):
     # floor is well above PR 1's 1.3x even on noisy CI runners.
     assert speedup >= 5.0, f"churn speedup {speedup:.2f}x < 5x"
 
-
-def _warm_start_churn(warm: bool, iterations: int = 150,
-                      ) -> tuple[float, PerfCounters, list]:
-    """Repeated single-flow churn against a 150-round solution.
-
-    One access link per class plus a shared backbone; each iteration a
-    lone flow joins on its own link and leaves again — the delta leaves
-    every recorded round valid, so the warm allocator replays instead of
-    recomputing.
-    """
-    alloc = FairShareAllocator(warm_start=warm)
-    backbone = Resource("backbone", 8000 * _MBPS)
-    links = [Resource(f"wlink{i}", (0.8 + 0.008 * i) * _MBPS)
-             for i in range(150)]
-    for link in links:
-        alloc.add_flow(Flow((link, backbone), 1e9))
-    xlink = Resource("xlink", 4 * _MBPS)
-    counters = PerfCounters()
-    alloc.allocate(counters)
-    rates = []
-    start = time.perf_counter()
-    for _ in range(iterations):
-        extra = Flow((xlink, backbone), 1e9)
-        alloc.add_flow(extra)
-        alloc.allocate(counters)
-        rates.append([cls.rate for cls in alloc.classes()])
-        alloc.remove_flow(extra)
-        alloc.allocate(counters)
-        rates.append([cls.rate for cls in alloc.classes()])
-    elapsed = time.perf_counter() - start
-    return elapsed, counters, rates
-
-
-def test_perf_warm_start_single_flow_churn(benchmark):
-    """Warm-started allocate() beats a cold allocator on repeated
-    single-flow churn, with bit-identical rate vectors."""
-
-    def run():
-        # Best-of-3 per mode: the windows are small enough that one
-        # scheduler stall on a shared CI runner must not flip the
-        # speedup assertion.
-        cold = min((_warm_start_churn(False) for _ in range(3)),
-                   key=lambda r: r[0])
-        warm = min((_warm_start_churn(True) for _ in range(3)),
-                   key=lambda r: r[0])
-        return cold, warm
-
-    cold, warm = benchmark.pedantic(run, rounds=1, iterations=1)
-    cold_s, cold_counters, cold_rates = cold
-    warm_s, warm_counters, warm_rates = warm
-    speedup = cold_s / warm_s
-    print(f"\nwarm-start churn (150 classes, 300 single-flow deltas):")
-    print(f"  cold allocator: {seconds_to_ms(cold_s):8.1f} ms   "
-          f"rounds run: {cold_counters.waterfill_rounds}")
-    print(f"  warm allocator: {seconds_to_ms(warm_s):8.1f} ms   "
-          f"rounds run: {warm_counters.waterfill_rounds}   "
-          f"replayed: {warm_counters.rounds_replayed}   speedup: "
-          f"{speedup:.2f}x")
-    # Replay must be bit-identical, hit on (almost) every reallocation,
-    # and reuse the overwhelming majority of rounds.
-    assert warm_rates == cold_rates
-    assert warm_counters.warm_start_hits >= 2 * 150 - 1
-    assert warm_counters.rounds_replayed > \
-        10 * warm_counters.waterfill_rounds
-    assert speedup >= 1.5, f"warm-start speedup {speedup:.2f}x < 1.5x"

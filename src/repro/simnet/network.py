@@ -21,16 +21,15 @@ service* level — independent of how rates change — kept in a per-class
 heap, so the class's next completion is O(1) to query.
 
 Completion scheduling is incremental as well: each class's projected
-next-completion time is pushed into a lazy min-ETA heap when its rate is
-assigned. A class's absolute ETA only changes when its *rate* or its
-membership changes, so a reallocation that leaves most classes untouched
-(disjoint paths, the common campaign case) does no per-class rescan —
-and never any per-flow one.
+next-completion time is recorded in a per-class ETA dict when its rate
+is assigned, and the next completion is the minimum over that dict. A
+class's absolute ETA only changes when its *rate* or its membership
+changes, so a reallocation recomputes ETAs only for the classes whose
+rate or membership moved — and never any per-flow one.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 import operator
 from typing import Callable, Iterable, Optional
@@ -71,14 +70,8 @@ class FluidNetwork:
         # their min finish service (and hence ETA) may have moved even
         # if their rate did not.
         self._touched_classes: set[FlowClass] = set()
-        # `_eta_of` (class -> projected next completion time) is the
-        # source of truth. `_eta_heap` is a lazy accelerator over it:
-        # (eta, csn, cls) entries with stale ones skipped on pop. A
-        # mass rate change just marks the heap stale (O(1)); it is only
-        # rebuilt when the population is large enough for a heap to beat
-        # a direct min() scan.
-        self._eta_heap: list[tuple[float, int, FlowClass]] = []
-        self._eta_heap_stale = False
+        # Class -> projected next completion time; a stalled class has
+        # no entry.
         self._eta_of: dict[FlowClass, float] = {}
         # Drain coalesced mutations at event boundaries with no extra
         # same-instant events; the scheduled drain is only the fallback
@@ -225,38 +218,19 @@ class FluidNetwork:
         else:
             classes = allocator.allocate(self.counters)
         touched = self._touched_classes
-        changed: list[FlowClass] = []
+        refreshed = 0
         for cls in classes:
             rate = cls.rate
             if rate != cls.seen_rate or cls in touched or cls not in eta_of:
                 cls.seen_rate = rate
-                changed.append(cls)
+                refreshed += 1
+                eta = self._class_eta(cls, now)
+                if eta != _INF:
+                    eta_of[cls] = eta
+                else:
+                    eta_of.pop(cls, None)
         touched.clear()
-        if changed:
-            self.counters.eta_refreshes += len(changed)
-            # `_eta_of` never stores inf (same invariant as _set_eta):
-            # a stalled class simply has no projected completion.
-            if self._eta_heap_stale or \
-                    2 * len(changed) >= allocator.n_classes:
-                # Most rates moved (shared-bottleneck epoch) or the
-                # heap is already invalid: update the dict and leave the
-                # heap stale instead of paying C pushes.
-                self._eta_heap_stale = True
-                for cls in changed:
-                    eta = self._class_eta(cls, now)
-                    if eta != _INF:
-                        eta_of[cls] = eta
-                    else:
-                        eta_of.pop(cls, None)
-            else:
-                for cls in changed:
-                    eta = self._class_eta(cls, now)
-                    if eta != _INF:
-                        eta_of[cls] = eta
-                        heapq.heappush(self._eta_heap,
-                                       (eta, cls.csn, cls))
-                    else:
-                        eta_of.pop(cls, None)
+        self.counters.eta_refreshes += refreshed
         self._schedule_next_completion()
 
     # -- completion scheduling ------------------------------------------
@@ -284,38 +258,10 @@ class FluidNetwork:
             self._eta_of.pop(cls, None)
             return
         self._eta_of[cls] = eta
-        heapq.heappush(self._eta_heap, (eta, cls.csn, cls))
         self.counters.eta_refreshes += 1
 
-    def _next_eta(self) -> float:
-        """Earliest live ETA (inf if none)."""
-        eta_of = self._eta_of
-        if self._eta_heap_stale:
-            if len(eta_of) <= 16:
-                # Tiny population: a direct scan beats heap upkeep.
-                return min(eta_of.values(), default=_INF)
-            self._compact_eta_heap()
-        heap = self._eta_heap
-        while heap:
-            eta, _csn, cls = heap[0]
-            if eta_of.get(cls) == eta:
-                return eta
-            heapq.heappop(heap)
-        return _INF
-
-    def _compact_eta_heap(self) -> None:
-        """Rebuild the heap from the source-of-truth dict."""
-        self._eta_heap = [(eta, cls.csn, cls)
-                          for cls, eta in self._eta_of.items()]
-        heapq.heapify(self._eta_heap)
-        self._eta_heap_stale = False
-        self.counters.eta_heap_compactions += 1
-
     def _schedule_next_completion(self) -> None:
-        if not self._eta_heap_stale and len(self._eta_heap) > 64 and \
-                len(self._eta_heap) > 4 * len(self._eta_of):
-            self._compact_eta_heap()
-        next_eta = self._next_eta()
+        next_eta = min(self._eta_of.values(), default=_INF)
         if next_eta == _INF:
             if self._completion_event is not None:
                 self._completion_event.cancel()

@@ -4,7 +4,9 @@ Acceptance criterion for the incremental fair-share engine: at a fixed
 seed, every ``run_experiment`` output dict is unchanged versus the
 reference water-filling path. Campaign flows overwhelmingly have weight
 1.0 and reuse circuit paths, so class aggregation is float-exact and the
-two engines produce bit-identical rate vectors end-to-end.
+two engines produce bit-identical rate vectors end-to-end. fig2b is the
+case where classes collapse (about 1.65 flows per class at tiny scale);
+the others run one flow per class.
 """
 
 import pytest
@@ -14,7 +16,8 @@ from repro.core.experiments import run_experiment
 from repro.simnet.fairshare import use_engine
 
 
-@pytest.mark.parametrize("experiment_id", ["fig2a", "fig10b", "fig5"])
+@pytest.mark.parametrize("experiment_id", ["fig2a", "fig2b", "fig10b",
+                                           "fig5"])
 def test_experiment_metrics_identical_across_engines(experiment_id):
     with use_engine("reference"):
         reference = run_experiment(experiment_id, seed=11, scale=Scale.tiny())

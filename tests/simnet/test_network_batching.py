@@ -108,19 +108,22 @@ def test_completion_event_not_rescheduled_when_eta_unchanged(sim):
     assert finished["b"] == pytest.approx(50.0)
 
 
-def test_eta_heap_compaction_under_churn(sim):
-    """Start/abort storms leave stale heap entries; the heap compacts
-    instead of growing without bound."""
+def test_eta_dict_drops_dead_classes_under_churn(sim):
+    """Start/abort storms create and kill classes; a dead class's ETA
+    entry is popped, so the ETA dict never outgrows the live classes."""
     kernel, net, counters = sim
     r = Resource("r", 1e6)
     survivor = net.start_flow([r], 1e9)
     for _ in range(40):
-        doomed = [net.start_flow([r], 1e9) for _ in range(10)]
+        # Distinct weights: each doomed flow is a class of its own.
+        doomed = [net.start_flow([r], 1e9, weight=2.0 + k)
+                  for k in range(10)]
         kernel.run(max_events=1)  # drain: rates + ETAs for all
+        assert len(net._eta_of) == 11
         for flow in doomed:
             net.abort_flow(flow)
         kernel.run(max_events=1)
-    assert len(net._eta_heap) < 200
+        assert len(net._eta_of) == 1
     assert survivor.is_active
 
 
