@@ -731,6 +731,39 @@ def test_res02_ownership_transfer_into_container_stops_tracking(
     assert _res02(graph) == []
 
 
+def test_res02_escape_is_honoured_on_the_exception_edge(tmp_path):
+    # If ``wrap`` raises, the proc has already been handed to it: the
+    # ownership transfer holds on the exception edge too.
+    graph = _graph(tmp_path, {
+        "repro.measure.spawn": """\
+            import multiprocessing as mp
+
+            def launch(job, registry, wrap):
+                proc = mp.Process(target=job)
+                proc.start()
+                registry[job] = wrap(proc)
+        """,
+    })
+    assert _res02(graph) == []
+
+
+def test_res02_teardown_statements_stay_off_the_exception_edge(tmp_path):
+    # terminate()/join() failing is beyond the automaton: neither call
+    # opens an exception edge with the proc still live.
+    graph = _graph(tmp_path, {
+        "repro.measure.spawn": """\
+            import multiprocessing as mp
+
+            def launch(job):
+                proc = mp.Process(target=job)
+                proc.start()
+                proc.terminate()
+                proc.join()
+        """,
+    })
+    assert _res02(graph) == []
+
+
 def test_res02_summaries_reach_fixpoint_and_are_cached(tmp_path):
     graph = _graph(tmp_path, {
         "repro.measure.spawn": """\

@@ -274,6 +274,40 @@ def test_res01_read_only_handles_are_not_tracked(tmp_path):
     assert _res01(graph) == []  # nothing buffered to lose
 
 
+def test_res01_process_join_is_not_handle_cleanup(tmp_path):
+    # Only ``close()`` is cleanup for a handle: a ``join()`` between open
+    # and close can raise and strand the fd.
+    graph = _graph(tmp_path, {
+        "repro.measure.logger": """\
+            def start(path, proc):
+                handle = open(path, "ab")
+                proc.join()
+                handle.close()
+        """,
+    })
+    findings = _res01(graph)
+    assert len(findings) == 1
+    _, finding = findings[0]
+    assert finding.line == 2
+    assert "leaks on exception edges" in finding.message
+
+
+def test_res01_escape_is_not_credited_on_the_exception_edge(tmp_path):
+    # The handle escapes into the registry only if ``wrap`` returns; if
+    # it raises, this function still owns an open handle.
+    graph = _graph(tmp_path, {
+        "repro.measure.logger": """\
+            def start(path, registry, wrap):
+                handle = open(path, "ab")
+                registry[path] = wrap(handle)
+        """,
+    })
+    findings = _res01(graph)
+    assert len(findings) == 1
+    _, finding = findings[0]
+    assert "leaks on exception edges" in finding.message
+
+
 # -- EXC01 ---------------------------------------------------------------
 
 
