@@ -19,9 +19,9 @@ syntax-local, they live at the *process boundary*:
   reset (``reset_world_tracking()``-style) *before* the child reads or
   mutates it; pre-fork locks/handles used on the child side are flagged
   outright — they do not survive the fork.
-* **RES02 process/pipe lifecycle** — a second abstract interpreter
-  (same skeleton as the handle-protocol machine in
-  :mod:`repro.lint.protocol`) runs two automata::
+* **RES02 process/pipe lifecycle** — a second domain of the one
+  abstract interpreter in :mod:`repro.lint.protocol` (the walk that
+  also runs ATOM01/RES01's handle protocol) runs two automata::
 
       Process:    created -> started -> {joined | terminated -> joined}
       Connection: open -> closed
@@ -52,7 +52,7 @@ from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence
+from typing import Any, ClassVar, Iterator, Optional
 
 from repro.lint.callgraph import (
     CallGraph,
@@ -62,7 +62,15 @@ from repro.lint.callgraph import (
     _walk_function_body,
 )
 from repro.lint.policy import RulePolicy
-from repro.lint.protocol import _tail
+from repro.lint.protocol import (
+    _chain_suffix,
+    _ExitBundle,
+    _fixpoint,
+    _forget,
+    _tail,
+    _Walker,
+    _zone_runs,
+)
 from repro.lint.rules import (
     _MUTATING_METHODS,
     Finding,
@@ -137,12 +145,6 @@ def _is_open_call(node: ast.Call) -> bool:
     if isinstance(func, ast.Name) and func.id == "open":
         return True
     return isinstance(func, ast.Attribute) and func.attr == "open"
-
-
-def _chain_suffix(verb: str, chain: tuple[str, ...]) -> str:
-    if not chain:
-        return ""
-    return f" ({verb} " + " -> ".join(_tail(q) for q in chain) + ")"
 
 
 def _resolve_callable(graph: CallGraph, fn: FunctionInfo,
@@ -770,36 +772,40 @@ class ForkHygieneRule(ProjectRule):
 class _Proc:
     """Process automaton: created -> started -> joined/terminated."""
 
-    started: bool                # may
-    joined: bool                 # must
-    terminated: bool             # may
+    started: bool
+    joined: bool
+    terminated: bool
     line: int
     col: int
     chain: tuple[str, ...] = ()
+    MAY: ClassVar[tuple[str, ...]] = ("started", "terminated")
+    MUST: ClassVar[tuple[str, ...]] = ("joined",)
 
 
 @dataclass(frozen=True)
 class _Conn:
     """Connection automaton: open -> closed."""
 
-    open: bool                   # may
+    open: bool
     line: int
     col: int
     chain: tuple[str, ...] = ()
+    MAY: ClassVar[tuple[str, ...]] = ("open",)
+    MUST: ClassVar[tuple[str, ...]] = ()
 
 
 @dataclass
 class _LifeState:
     procs: dict[str, _Proc] = field(default_factory=dict)
     conns: dict[str, _Conn] = field(default_factory=dict)
+    ABSENT: ClassVar[dict[str, Any]] = {
+        "procs": _Proc(started=False, joined=True, terminated=False,
+                       line=0, col=0),
+        "conns": _Conn(open=False, line=0, col=0)}
 
     def copy(self) -> "_LifeState":
         return _LifeState(dict(self.procs), dict(self.conns))
 
-
-_ABSENT_PROC = _Proc(started=False, joined=True, terminated=False,
-                     line=0, col=0)
-_ABSENT_CONN = _Conn(open=False, line=0, col=0)
 
 #: Receiver methods that transition the automata.
 _PROC_TRANSITIONS = frozenset({"start", "join", "terminate", "kill",
@@ -809,9 +815,6 @@ _NEUTRAL_METHODS = frozenset({
     "is_alive", "poll", "send", "send_bytes", "recv", "recv_bytes",
     "fileno", "exitcode",
 })
-#: Cleanup methods whose own failure is beyond the automaton's scope —
-#: statements made only of these never enter the exception channel.
-_CLEANUP_METHODS = frozenset({"close", "join", "terminate", "kill"})
 
 
 @dataclass(frozen=True)
@@ -831,64 +834,25 @@ class _LifeSummary:
                 self.returns_proc, self.returns_conn)
 
 
-@dataclass
-class _LifeExit:
-    fall: Optional[_LifeState]
-    returns: list[tuple[_LifeState, Optional[str]]] = \
-        field(default_factory=list)
-    exc: list[_LifeState] = field(default_factory=list)
+class _LifeInterpreter(_Walker[_LifeState, _LifeSummary]):
+    """The Process/Connection domain of the statement walk in
+    :class:`repro.lint.protocol._Walker`.
 
-
-def _life_join(states: Sequence[Optional[_LifeState]]) -> _LifeState:
-    live = [s for s in states if s is not None]
-    if not live:
-        return _LifeState()
-    if len(live) == 1:
-        return live[0].copy()
-    out = _LifeState()
-    for key in sorted({k for s in live for k in s.procs}):
-        variants = [s.procs.get(key, _ABSENT_PROC) for s in live]
-        known = [v for v in variants if v is not _ABSENT_PROC]
-        out.procs[key] = replace(
-            known[0],
-            started=any(v.started for v in variants),
-            joined=all(v.joined for v in variants),
-            terminated=any(v.terminated for v in variants))
-    for key in sorted({k for s in live for k in s.conns}):
-        variants = [s.conns.get(key, _ABSENT_CONN) for s in live]
-        known = [v for v in variants if v is not _ABSENT_CONN]
-        out.conns[key] = replace(
-            known[0], open=any(v.open for v in variants))
-    return out
-
-
-class _LifeInterpreter:
-    """Abstract interpretation of one function body, lifecycle view.
-
-    Same statement-walk skeleton as the handle-protocol interpreter
-    (:class:`repro.lint.protocol._Interpreter`): branch joins with
-    may/must semantics, an exception channel snapshotting the
-    *pre*-state of every raising statement, ``with``/``try``/``finally``
-    routing, and loops approximated as zero-or-once. Ownership
-    transfer (a tracked name passed to an unknown callee, stored into
-    a container or attribute, or returned) drops the name from
-    tracking — the conservative, non-flagging direction.
+    Ownership transfer (a tracked name passed to an unknown callee,
+    stored into a container or attribute, or returned) drops the name
+    from tracking — the conservative, non-flagging direction. Unlike
+    the handle domain, the transfers a raising statement makes before
+    it raises hold on its exception edge too (:meth:`_apply_escapes`),
+    teardown calls never raise (:attr:`CLEANUP_METHODS`), and ``with``
+    only drops the name it binds.
     """
+
+    #: Teardown whose own failure is beyond the automata's scope.
+    CLEANUP_METHODS = frozenset({"close", "join", "terminate", "kill"})
 
     def __init__(self, graph: CallGraph, fn: FunctionInfo,
                  summaries: dict[str, _LifeSummary]) -> None:
-        self.graph = graph
-        self.fn = fn
-        self.summaries = summaries
-        self.callee_of = {id(site.node): site.callee
-                          for site in fn.calls if site.callee is not None}
-        self.known_calls = {id(site.node) for site in fn.calls}
-        args = fn.node.args
-        params = [a.arg for a in (*args.posonlyargs, *args.args,
-                                  *args.kwonlyargs)]
-        if fn.cls is not None and params:
-            params = params[1:]
-        self.params = params
+        super().__init__(graph, fn, summaries)
         self.param_effects: dict[str, set[str]] = {}
         #: name -> origin, for procs/conns acquired in this body.
         self.created_procs: dict[str, _Proc] = {}
@@ -896,151 +860,15 @@ class _LifeInterpreter:
         self.returned_proc: Optional[tuple[str, ...]] = None
         self.returned_conn: Optional[tuple[str, ...]] = None
 
-    # -- driver ---------------------------------------------------------
+    def _initial_state(self) -> _LifeState:
+        return _LifeState()
 
-    def run(self) -> _LifeExit:
-        return self._exec_block(self.fn.node.body, _LifeState())
-
-    # -- statement walk (mirrors protocol._Interpreter) -----------------
-
-    def _exec_block(self, stmts: Sequence[ast.stmt],
-                    state: Optional[_LifeState]) -> _LifeExit:
-        bundle = _LifeExit(fall=state)
-        for stmt in stmts:
-            if bundle.fall is None:
-                break
-            step = self._exec_stmt(stmt, bundle.fall)
-            bundle.returns.extend(step.returns)
-            bundle.exc.extend(step.exc)
-            bundle.fall = step.fall
-        return bundle
-
-    def _exec_stmt(self, stmt: ast.stmt,
-                   state: _LifeState) -> _LifeExit:
-        state = state.copy()
-        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
-                             ast.ClassDef)):
-            return _LifeExit(fall=state)
-        if isinstance(stmt, ast.Return):
-            name = (stmt.value.id
-                    if isinstance(stmt.value, ast.Name) else None)
-            if stmt.value is not None:
-                self._apply_ops(stmt.value, state)
-            if name is not None:
-                self._note_return(name, state)
-            elif isinstance(stmt.value, ast.Call):
-                self._note_return_call(stmt.value)
-            return _LifeExit(fall=None, returns=[(state, name)])
-        if isinstance(stmt, ast.Raise):
-            if stmt.exc is not None:
-                self._apply_ops(stmt.exc, state)
-            return _LifeExit(fall=None, exc=[state])
-        if isinstance(stmt, ast.If):
-            self._apply_ops(stmt.test, state)
-            then = self._exec_block(stmt.body, state.copy())
-            other = self._exec_block(stmt.orelse, state.copy())
-            return _LifeExit(
-                fall=self._join_falls(then.fall, other.fall),
-                returns=then.returns + other.returns,
-                exc=then.exc + other.exc)
-        if isinstance(stmt, (ast.For, ast.AsyncFor, ast.While)):
-            if isinstance(stmt, ast.While):
-                self._apply_ops(stmt.test, state)
-            else:
-                self._apply_ops(stmt.iter, state)
-            once = self._exec_block(stmt.body, state.copy())
-            body_fall = self._join_falls(state, once.fall)
-            orelse = self._exec_block(stmt.orelse, body_fall)
-            return _LifeExit(fall=orelse.fall,
-                             returns=once.returns + orelse.returns,
-                             exc=once.exc + orelse.exc)
-        if isinstance(stmt, (ast.With, ast.AsyncWith)):
-            return self._exec_with(stmt, state)
-        if isinstance(stmt, ast.Try):
-            return self._exec_try(stmt, state)
-        # Leaf: the exception channel sees the pre-state (the
-        # statement's transitions never landed), but ownership
-        # transfers *within* the failing statement are still honored —
-        # ``registry[conn] = wrap(proc)`` raising mid-call must not
-        # report proc/conn as leaked-by-us.
-        exc: list[_LifeState] = []
-        if self._can_raise(stmt):
-            snapshot = state.copy()
-            self._apply_escapes(stmt, snapshot)
-            exc.append(snapshot)
-        self._apply_ops(stmt, state)
-        return _LifeExit(fall=state, exc=exc)
-
-    def _exec_with(self, stmt: ast.With | ast.AsyncWith,
-                   state: _LifeState) -> _LifeExit:
-        for item in stmt.items:
-            self._apply_ops(item.context_expr, state)
-            if isinstance(item.optional_vars, ast.Name):
-                state.procs.pop(item.optional_vars.id, None)
-                state.conns.pop(item.optional_vars.id, None)
-        body = self._exec_block(stmt.body, state)
-        return body
-
-    def _exec_try(self, stmt: ast.Try, state: _LifeState) -> _LifeExit:
-        body = self._exec_block(stmt.body, state.copy())
-        handler_in = _life_join(body.exc) if body.exc else None
-        absorbs_all = any(self._catches_everything(h)
-                          for h in stmt.handlers)
-        escaping: list[_LifeState] = [] if absorbs_all else list(body.exc)
-        returns = list(body.returns)
-        falls: list[Optional[_LifeState]] = []
-        if body.fall is not None:
-            orelse = self._exec_block(stmt.orelse, body.fall)
-            falls.append(orelse.fall)
-            returns.extend(orelse.returns)
-            escaping.extend(orelse.exc)
-        for handler in stmt.handlers:
-            if handler_in is None:
-                break
-            handled = self._exec_block(handler.body, handler_in.copy())
-            falls.append(handled.fall)
-            returns.extend(handled.returns)
-            escaping.extend(handled.exc)
-        live_falls = [f for f in falls if f is not None]
-        fall = _life_join(live_falls) if live_falls else None
-        if stmt.finalbody:
-            def through_finally(s: _LifeState) -> Optional[_LifeState]:
-                done = self._exec_block(stmt.finalbody, s.copy())
-                return done.fall
-            fall = through_finally(fall) if fall is not None else None
-            returns = [(through_finally(s) or s, n) for s, n in returns]
-            escaping = [through_finally(s) or s for s in escaping]
-        return _LifeExit(fall=fall, returns=returns, exc=escaping)
-
-    @staticmethod
-    def _catches_everything(handler: ast.ExceptHandler) -> bool:
-        if handler.type is None:
-            return True
-        if isinstance(handler.type, ast.Tuple):
-            names = [_dotted(e) for e in handler.type.elts]
-        else:
-            names = [_dotted(handler.type)]
-        return any(n is not None and
-                   n.split(".")[-1] in ("BaseException", "Exception")
-                   for n in names)
-
-    @staticmethod
-    def _can_raise(stmt: ast.stmt) -> bool:
-        calls = [n for n in ast.walk(stmt) if isinstance(n, ast.Call)]
-        if not calls:
-            return False
-        return not all(
-            isinstance(c.func, ast.Attribute) and
-            c.func.attr in _CLEANUP_METHODS
-            for c in calls)
-
-    @staticmethod
-    def _join_falls(a: Optional[_LifeState],
-                    b: Optional[_LifeState]) -> Optional[_LifeState]:
-        live = [s for s in (a, b) if s is not None]
-        if not live:
-            return None
-        return _life_join(live)
+    def summarize(self, bundle: _ExitBundle[_LifeState]) -> _LifeSummary:
+        return _LifeSummary(
+            param_effects={k: frozenset(v) for k, v in
+                           self.param_effects.items()},
+            returns_proc=self.returned_proc,
+            returns_conn=self.returned_conn)
 
     # -- operations -----------------------------------------------------
 
@@ -1113,8 +941,7 @@ class _LifeInterpreter:
 
     def _bind(self, target: str, value: ast.expr,
               state: _LifeState) -> None:
-        state.procs.pop(target, None)
-        state.conns.pop(target, None)
+        _forget(state, target)
         if not isinstance(value, ast.Call):
             return
         if _is_process_ctor(value):
@@ -1191,30 +1018,14 @@ class _LifeInterpreter:
     def _apply_summary(self, node: ast.Call, callee: str,
                        summary: _LifeSummary,
                        state: _LifeState) -> None:
-        callee_fn = self.graph.functions[callee]
-        callee_args = callee_fn.node.args
-        params = [a.arg for a in (*callee_args.posonlyargs,
-                                  *callee_args.args,
-                                  *callee_args.kwonlyargs)]
-        offset = 1 if callee_fn.cls is not None else 0
-        consumed: set[str] = set()
-        for index, arg in enumerate(node.args):
-            if not isinstance(arg, ast.Name):
-                continue
-            param_index = index + offset
-            if param_index >= len(params):
-                break
-            param = params[param_index]
-            effects = summary.param_effects.get(param, frozenset())
-            consumed.add(arg.id)
-            for effect in sorted(effects):
+        # Names handed to a *summarized* callee stay tracked (we know
+        # exactly what it does to them).
+        for name, param in self._summary_args(node, callee):
+            for effect in sorted(summary.param_effects.get(param, ())):
                 attr = {"starts": "start", "joins": "join",
                         "terminates": "terminate",
                         "closes": "close"}[effect]
-                self._transition(arg.id, attr, state)
-        # Names handed to a *summarized* callee stay tracked (we know
-        # exactly what it does to them) — keyword args too.
-        del consumed
+                self._transition(name, attr, state)
 
     def _escape_call_args(self, node: ast.Call,
                           state: _LifeState) -> None:
@@ -1226,13 +1037,14 @@ class _LifeInterpreter:
     def _escape_names(self, expr: ast.expr, state: _LifeState) -> None:
         for sub in ast.walk(expr):
             if isinstance(sub, ast.Name):
-                state.procs.pop(sub.id, None)
-                state.conns.pop(sub.id, None)
+                _forget(state, sub.id)
 
     def _apply_escapes(self, stmt: ast.stmt,
                        state: _LifeState) -> None:
         """Ownership transfers inside a raising statement, without
-        crediting any of its lifecycle transitions."""
+        crediting any of its lifecycle transitions:
+        ``registry[conn] = wrap(proc)`` raising mid-call must not
+        report proc/conn as leaked-by-us."""
         if isinstance(stmt, ast.Assign):
             for target in stmt.targets:
                 if not isinstance(target, ast.Name):
@@ -1253,32 +1065,8 @@ class _LifeInterpreter:
             self._escape_call_args(node, state)
 
 
-def build_life_summaries(graph: CallGraph,
-                         max_passes: int = 8,
-                         ) -> dict[str, _LifeSummary]:
-    cached = getattr(graph, "_life_summaries", None)
-    if cached is not None:
-        return cached
-    summaries: dict[str, _LifeSummary] = {}
-    for _ in range(max_passes):
-        changed = False
-        for qname in sorted(graph.functions):
-            fn = graph.functions[qname]
-            interp = _LifeInterpreter(graph, fn, summaries)
-            interp.run()
-            summary = _LifeSummary(
-                param_effects={k: frozenset(v) for k, v in
-                               interp.param_effects.items()},
-                returns_proc=interp.returned_proc,
-                returns_conn=interp.returned_conn)
-            prior = summaries.get(qname)
-            if prior is None or prior.key() != summary.key():
-                summaries[qname] = summary
-                changed = True
-        if not changed:
-            break
-    graph._life_summaries = summaries  # type: ignore[attr-defined]
-    return summaries
+def build_life_summaries(graph: CallGraph) -> dict[str, _LifeSummary]:
+    return _fixpoint(graph, _LifeInterpreter)
 
 
 class ProcessLifecycleRule(ProjectRule):
@@ -1289,56 +1077,35 @@ class ProcessLifecycleRule(ProjectRule):
 
     def check_project(self, graph: CallGraph, rule_policy: RulePolicy,
                       ) -> Iterator[tuple[str, Finding]]:
-        summaries = build_life_summaries(graph)
-        for qname in sorted(graph.functions):
-            fn = graph.functions[qname]
-            if not rule_policy.applies_to(fn.module):
-                continue
-            interp = _LifeInterpreter(graph, fn, summaries)
-            bundle = interp.run()
-            yield from ((fn.module, finding) for finding in
+        for module, interp, bundle in _zone_runs(graph, rule_policy,
+                                                 _LifeInterpreter):
+            yield from ((module, finding) for finding in
                         self._leaks(interp, bundle))
 
     @staticmethod
     def _leaks(interp: _LifeInterpreter,
-               bundle: _LifeExit) -> Iterator[Finding]:
-        normal = [s for s, _ in bundle.returns]
-        if bundle.fall is not None:
-            normal.append(bundle.fall)
-
-        def report(origin_line: int, origin_col: int,
-                   message: str) -> Finding:
-            return Finding(origin_line, origin_line, origin_col,
-                           message)
-
+               bundle: _ExitBundle[_LifeState]) -> Iterator[Finding]:
         for name in sorted(interp.created_procs):
             origin = interp.created_procs[name]
             via = _chain_suffix("spawned via", origin.chain)
-            normal_variants = [s.procs.get(name, _ABSENT_PROC)
-                               for s in normal]
-            bad_normal = any(v.started and not v.joined
-                             for v in normal_variants)
-            bad_exc = any(v.started and not v.joined
-                          for v in (s.procs.get(name, _ABSENT_PROC)
-                                    for s in bundle.exc))
-            if bad_normal:
-                terminated = any(v.terminated for v in normal_variants)
-                if terminated:
-                    yield report(
-                        origin.line, origin.col,
+            normal, exc = bundle.records("procs", name)
+            if any(p.started and not p.joined for p in normal):
+                if any(p.terminated for p in normal):
+                    yield Finding(
+                        origin.line, origin.line, origin.col,
                         f"process '{name}' is terminated but never "
                         f"joined on some path{via} — terminate() "
                         "without join() leaves a zombie and an "
                         "unreaped exit code; join() after terminate()")
                 else:
-                    yield report(
-                        origin.line, origin.col,
+                    yield Finding(
+                        origin.line, origin.line, origin.col,
                         f"process '{name}' is not joined on all "
                         f"paths{via} — join (or terminate, then join) "
                         "on every exit, teardown included")
-            elif bad_exc:
-                yield report(
-                    origin.line, origin.col,
+            elif any(p.started and not p.joined for p in exc):
+                yield Finding(
+                    origin.line, origin.line, origin.col,
                     f"process '{name}' leaks on exception edges{via} "
                     "— an error between start() and join() strands a "
                     "live child; join/terminate it in a finally or "
@@ -1346,21 +1113,17 @@ class ProcessLifecycleRule(ProjectRule):
         for name in sorted(interp.created_conns):
             origin = interp.created_conns[name]
             via = _chain_suffix("acquired via", origin.chain)
-            open_normal = any(
-                s.conns.get(name, _ABSENT_CONN).open for s in normal)
-            open_exc = any(
-                s.conns.get(name, _ABSENT_CONN).open
-                for s in bundle.exc)
-            if open_normal:
-                yield report(
-                    origin.line, origin.col,
+            normal, exc = bundle.records("conns", name)
+            if any(c.open for c in normal):
+                yield Finding(
+                    origin.line, origin.line, origin.col,
                     f"pipe end '{name}' is not closed on all "
                     f"paths{via} — an unclosed Connection leaks its "
                     "fd into every later fork and holds EOF back "
                     "from the peer; close it on every exit")
-            elif open_exc:
-                yield report(
-                    origin.line, origin.col,
+            elif any(c.open for c in exc):
+                yield Finding(
+                    origin.line, origin.line, origin.col,
                     f"pipe end '{name}' leaks on exception edges{via} "
                     "— an error between Pipe() and close() strands "
                     "the fd; close it in a finally or supervisor "

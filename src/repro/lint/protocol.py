@@ -35,18 +35,28 @@ whose handler catches ``BaseException``/``KeyboardInterrupt`` (or is
 bare) must re-``raise`` or hard-exit (``os._exit``); anything else
 swallows Ctrl-C and breaks PR 6's deterministic-teardown guarantee.
 
-The interpreter skeleton — branch joins, the exception channel,
-``with``/``finally`` routing, fixpoint effect summaries — is reused
-by :mod:`repro.lint.concurrency`'s RES02 lifecycle automata, which
-run Process/Connection state machines over the same control-flow
-walk. Changes to the statement walk here should be mirrored there.
+The interpreter skeleton (:class:`_Walker`) — branch joins, the
+exception channel, ``try``/``finally`` routing, the summary fixpoint —
+is written once here and is not specific to file handles: RES02
+(:mod:`repro.lint.concurrency`) reuses the walk, supplying only its
+Process/Connection states, transitions and summaries.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass, field, replace
-from typing import Iterator, Optional, Sequence
+from typing import (
+    Any,
+    ClassVar,
+    Generic,
+    Iterator,
+    Optional,
+    Protocol,
+    Self,
+    Sequence,
+    TypeVar,
+)
 
 from repro.lint.callgraph import (
     CallGraph,
@@ -57,199 +67,161 @@ from repro.lint.callgraph import (
 from repro.lint.policy import RulePolicy
 from repro.lint.rules import Finding, ModuleContext, ProjectRule, Rule
 
-_WRITE_MODE_CHARS = frozenset("wax+")
-_HANDLE_WRITES = frozenset({"write", "writelines"})
-_PATH_WRITES = frozenset({"write_text", "write_bytes"})
-_RENAME_METHODS = frozenset({"rename", "replace"})
-#: shutil entry points that write their destination without fsync.
-_COPY_FNS = frozenset({"copy", "copy2", "copyfile", "move"})
-
-
-def _call_mode(node: ast.Call, *, skip_first: bool) -> Optional[str]:
-    args = node.args[1:] if skip_first else node.args
-    candidates: list[ast.expr] = list(args[:1])
-    candidates.extend(kw.value for kw in node.keywords if kw.arg == "mode")
-    for arg in candidates:
-        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
-            return arg.value
-    return None
-
-
-def _open_target(node: ast.Call) -> Optional[tuple[Optional[str], str]]:
-    """``(path_var, mode)`` if this is a writable open, else None.
-
-    Recognizes ``open(p, "wb")`` and ``p.open("wb")``; the path var is
-    the Name the call opens, or None when the path expression is
-    computed.
-    """
-    func = node.func
-    if isinstance(func, ast.Name) and func.id == "open":
-        mode = _call_mode(node, skip_first=True)
-        path = node.args[0] if node.args else None
-    elif isinstance(func, ast.Attribute) and func.attr == "open":
-        mode = _call_mode(node, skip_first=False)
-        path = func.value
-    else:
-        return None
-    if mode is None or not (_WRITE_MODE_CHARS & set(mode)):
-        return None
-    name = path.id if isinstance(path, ast.Name) else None
-    return name, mode
-
-
 # ---------------------------------------------------------------------------
-# abstract state
+# the interpreter skeleton (shared with RES02)
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class _Handle:
-    open: bool
-    written: bool
-    fsynced: bool
-    path: Optional[str]          # path variable the handle writes to
-    auto_close: bool             # opened via ``with`` — closes itself
-    line: int
-    col: int
-    chain: tuple[str, ...] = ()  # helper chain that produced it
+class _Tables(Protocol):
+    """A domain's abstract state: one dict of frozen records per kind of
+    tracked name. ``ABSENT`` maps each dict's attribute name to the
+    record a key joins as on the paths that lack it; each record class
+    lists its may-fields in ``MAY`` and its must-fields in ``MUST``."""
+
+    ABSENT: ClassVar[dict[str, Any]]
+
+    def copy(self) -> Self: ...
 
 
-@dataclass(frozen=True)
-class _PathState:
-    written: bool
-    fsynced: bool
-    line: int
-    chain: tuple[str, ...] = ()
+class _Keyed(Protocol):
+    def key(self) -> tuple: ...
 
 
-@dataclass
-class _State:
-    handles: dict[str, _Handle] = field(default_factory=dict)
-    paths: dict[str, _PathState] = field(default_factory=dict)
-
-    def copy(self) -> "_State":
-        return _State(dict(self.handles), dict(self.paths))
+S = TypeVar("S", bound=_Tables)
+M = TypeVar("M", bound=_Keyed)
+W = TypeVar("W", bound="_Walker")
 
 
-_ABSENT_HANDLE = _Handle(open=False, written=False, fsynced=True,
-                         path=None, auto_close=False, line=0, col=0)
-_ABSENT_PATH = _PathState(written=False, fsynced=True, line=0)
-
-
-def _join(states: Sequence[_State]) -> _State:
-    """Branch merge: ``open``/``written`` are may, ``fsynced`` is must."""
-    live = [s for s in states if s is not None]
-    if not live:
-        return _State()
-    if len(live) == 1:
-        return live[0].copy()
-    out = _State()
-    for key in sorted({k for s in live for k in s.handles}):
-        variants = [s.handles.get(key, _ABSENT_HANDLE) for s in live]
-        known = [v for v in variants if v is not _ABSENT_HANDLE]
-        base = known[0]
-        out.handles[key] = replace(
-            base,
-            open=any(v.open for v in variants),
-            written=any(v.written for v in variants),
-            fsynced=all(v.fsynced for v in variants))
-    for key in sorted({k for s in live for k in s.paths}):
-        variants = [s.paths.get(key, _ABSENT_PATH) for s in live]
-        known = [v for v in variants if v is not _ABSENT_PATH]
-        base = known[0]
-        out.paths[key] = replace(
-            base,
-            written=any(v.written for v in variants),
-            fsynced=all(v.fsynced for v in variants))
+def _join(states: Sequence[S]) -> S:
+    """Branch merge: a may-field holds if it holds on *any* incoming
+    path, a must-field only if it holds on *all* of them."""
+    out = states[0].copy()
+    if len(states) == 1:
+        return out
+    for table, absent in out.ABSENT.items():
+        tables = [getattr(s, table) for s in states]
+        merged: dict[str, Any] = {}
+        for key in sorted({k for t in tables for k in t}):
+            variants = [t.get(key, absent) for t in tables]
+            base = next(v for v in variants if v is not absent)
+            if all(v is base for v in variants):
+                merged[key] = base       # same record on every path
+                continue
+            merged[key] = replace(
+                base,
+                **{f: any(getattr(v, f) for v in variants)
+                   for f in base.MAY},
+                **{f: all(getattr(v, f) for v in variants)
+                   for f in base.MUST})
+        setattr(out, table, merged)
     return out
 
 
-# ---------------------------------------------------------------------------
-# function summaries
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class _Summary:
-    """What calling a function does to its arguments / return value."""
-
-    #: param name -> subset of {"writes", "fsyncs", "closes"}.
-    handle_params: dict[str, frozenset[str]] = field(default_factory=dict)
-    #: param name -> helper chain that performs its "writes" effect
-    #: (this function first), so callers can print provenance.
-    write_chains: dict[str, tuple[str, ...]] = field(default_factory=dict)
-    #: param name -> ("dirty" | "clean", chain) — the function writes
-    #: the path without / with a dominating fsync.
-    path_params: dict[str, tuple[str, tuple[str, ...]]] = \
-        field(default_factory=dict)
-    #: Returns a handle still open (caller takes ownership), chain.
-    returns_open: Optional[tuple[str, ...]] = None
-    #: Returns a path written without a dominating fsync, chain.
-    returns_dirty: Optional[tuple[str, ...]] = None
-
-    def key(self) -> tuple:
-        return (tuple(sorted((k, tuple(sorted(v)))
-                             for k, v in self.handle_params.items())),
-                tuple(sorted(self.write_chains.items())),
-                tuple(sorted(self.path_params.items())),
-                self.returns_open, self.returns_dirty)
+def _forget(state: _Tables, name: str) -> None:
+    """Drop ``name`` from tracking, whatever it held."""
+    for table in state.ABSENT:
+        getattr(state, table).pop(name, None)
 
 
 @dataclass
-class _ExitBundle:
+class _ExitBundle(Generic[S]):
     """All the ways control leaves a block."""
 
-    fall: Optional[_State]           # falls off the end (None: never)
-    returns: list[tuple[_State, Optional[str]]] = \
+    fall: Optional[S]                # falls off the end (None: never)
+    returns: list[tuple[S, Optional[str]]] = \
         field(default_factory=list)  # (state, returned Name or None)
-    exc: list[_State] = field(default_factory=list)
+    exc: list[S] = field(default_factory=list)
+
+    def normal(self) -> list[S]:
+        """The states at every return, then at the fallthrough."""
+        exits = [s for s, _ in self.returns]
+        if self.fall is not None:
+            exits.append(self.fall)
+        return exits
+
+    def records(self, table: str, name: str) -> tuple[list, list]:
+        """``name``'s record in ``table`` at every normal exit and at
+        every exception exit (the absent record where untracked)."""
+        def at(states: list[S]) -> list:
+            return [getattr(s, table).get(name, s.ABSENT[table])
+                    for s in states]
+        return at(self.normal()), at(self.exc)
 
 
-class _Interpreter:
-    """Abstract interpretation of one function body."""
+def _params(fn: FunctionInfo) -> list[str]:
+    """Parameter names, without a method's ``self``/``cls``."""
+    args = fn.node.args
+    params = [a.arg for a in (*args.posonlyargs, *args.args,
+                              *args.kwonlyargs)]
+    return params[1:] if fn.cls is not None else params
+
+
+class _Walker(Generic[S, M]):
+    """Abstract interpretation of one function body: the statement walk.
+
+    Branches join with may/must semantics, loops run zero-or-once, and
+    an exception channel carries the *pre*-state of every raising
+    statement through ``try``/``except``/``finally`` routing, so
+    cleanup in a ``finally`` or a catch-all handler is credited and
+    everything else is not. A domain subclass supplies its state and
+    summary types, the hooks below and :attr:`CLEANUP_METHODS`.
+    """
+
+    #: Methods whose own failure is beyond the domain's scope: a leaf
+    #: statement whose calls are all of these never raises.
+    CLEANUP_METHODS: ClassVar[frozenset[str]]
 
     def __init__(self, graph: CallGraph, fn: FunctionInfo,
-                 summaries: dict[str, _Summary]) -> None:
+                 summaries: dict[str, M]) -> None:
         self.graph = graph
         self.fn = fn
         self.summaries = summaries
         self.callee_of = {id(site.node): site.callee
                           for site in fn.calls if site.callee is not None}
-        args = fn.node.args
-        params = [a.arg for a in (*args.posonlyargs, *args.args,
-                                  *args.kwonlyargs)]
-        if fn.cls is not None and params:
-            params = params[1:]          # drop self/cls
-        self.params = params
-        self.param_handle_effects: dict[str, set[str]] = {}
-        #: param -> helper chain behind its first "writes" effect.
-        self.param_write_chains: dict[str, tuple[str, ...]] = {}
-        #: (loc-name | None) -> interpreted chain, for open handles
-        #: acquired locally — used for RES01 reporting.
-        self.opened: dict[str, _Handle] = {}
-        #: Names returned while holding an open handle / dirty path.
-        self.returned_open: Optional[tuple[str, ...]] = None
-        self.returned_dirty: Optional[tuple[str, ...]] = None
-        self.findings: list[Finding] = []
+        self.params = _params(fn)
 
-    # -- driver ---------------------------------------------------------
+    def run(self) -> _ExitBundle[S]:
+        return self._exec_block(self.fn.node.body, self._initial_state())
 
-    def run(self) -> _ExitBundle:
-        state = _State()
-        for param in self.params:
-            # Parameters start as clean tracked paths so writes through
-            # them surface in the summary; handle effects are recorded
-            # as ops touch the raw names.
-            state.paths[param] = _PathState(written=False, fsynced=True,
-                                            line=self.fn.node.lineno)
-        bundle = self._exec_block(self.fn.node.body, state)
-        return bundle
+    # -- domain hooks ---------------------------------------------------
+
+    def _initial_state(self) -> S:
+        raise NotImplementedError
+
+    def _apply_ops(self, root: ast.AST, state: S) -> None:
+        """Apply every transition inside one statement or expression."""
+        raise NotImplementedError
+
+    def _note_return(self, name: str, state: S) -> None:
+        raise NotImplementedError
+
+    def _note_return_call(self, value: ast.Call) -> None:
+        raise NotImplementedError
+
+    def _exec_with(self, stmt: ast.With | ast.AsyncWith,
+                   state: S) -> _ExitBundle[S]:
+        """By default a ``with`` target is just rebound: its name drops
+        out of tracking."""
+        for item in stmt.items:
+            self._apply_ops(item.context_expr, state)
+            if isinstance(item.optional_vars, ast.Name):
+                _forget(state, item.optional_vars.id)
+        return self._exec_block(stmt.body, state)
+
+    def _apply_escapes(self, stmt: ast.stmt, state: S) -> None:
+        """Ownership transfers a raising statement makes before it
+        raises, applied to its exception-channel snapshot (none unless
+        the domain says so)."""
+
+    def summarize(self, bundle: _ExitBundle[S]) -> M:
+        """This function's summary, from the exits of :meth:`run`."""
+        raise NotImplementedError
 
     # -- statement walk -------------------------------------------------
 
     def _exec_block(self, stmts: Sequence[ast.stmt],
-                    state: Optional[_State]) -> _ExitBundle:
-        bundle = _ExitBundle(fall=state)
+                    state: Optional[S]) -> _ExitBundle[S]:
+        bundle: _ExitBundle[S] = _ExitBundle(fall=state)
         for stmt in stmts:
             if bundle.fall is None:
                 break
@@ -259,7 +231,7 @@ class _Interpreter:
             bundle.fall = step.fall
         return bundle
 
-    def _exec_stmt(self, stmt: ast.stmt, state: _State) -> _ExitBundle:
+    def _exec_stmt(self, stmt: ast.stmt, state: S) -> _ExitBundle[S]:
         state = state.copy()
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef)):
@@ -303,16 +275,281 @@ class _Interpreter:
             return self._exec_try(stmt, state)
         # Leaf statements: snapshot the pre-state into the exception
         # channel (an exception interrupts the statement before its
-        # effects land — ``fh = open(...)`` failing binds no handle),
-        # then apply ops on the fallthrough.
-        exc: list[_State] = []
+        # effects land — ``fh = open(...)`` failing binds no handle —
+        # so only the domain's escapes reach it), then apply ops on
+        # the fallthrough.
+        exc: list[S] = []
         if self._can_raise(stmt):
-            exc.append(state.copy())
+            snapshot = state.copy()
+            self._apply_escapes(stmt, snapshot)
+            exc.append(snapshot)
         self._apply_ops(stmt, state)
         return _ExitBundle(fall=state, exc=exc)
 
+    def _exec_try(self, stmt: ast.Try, state: S) -> _ExitBundle[S]:
+        body = self._exec_block(stmt.body, state.copy())
+        handler_in = _join(body.exc) if body.exc else None
+        absorbs_all = any(self._catches_everything(h)
+                          for h in stmt.handlers)
+        escaping: list[S] = [] if absorbs_all else list(body.exc)
+        returns = list(body.returns)
+        falls: list[Optional[S]] = []
+        if body.fall is not None:
+            orelse = self._exec_block(stmt.orelse, body.fall)
+            falls.append(orelse.fall)
+            returns.extend(orelse.returns)
+            escaping.extend(orelse.exc)
+        for handler in stmt.handlers:
+            if handler_in is None:
+                break
+            handled = self._exec_block(handler.body, handler_in.copy())
+            falls.append(handled.fall)
+            returns.extend(handled.returns)
+            escaping.extend(handled.exc)
+        live_falls = [f for f in falls if f is not None]
+        fall = _join(live_falls) if live_falls else None
+        if stmt.finalbody:
+            def through_finally(s: S) -> Optional[S]:
+                done = self._exec_block(stmt.finalbody, s.copy())
+                # Returns/raises inside finally are rare enough to
+                # fold into the fallthrough approximation.
+                return done.fall
+            fall = through_finally(fall) if fall is not None else None
+            returns = [(through_finally(s) or s, n) for s, n in returns]
+            escaping = [through_finally(s) or s for s in escaping]
+        return _ExitBundle(fall=fall, returns=returns, exc=escaping)
+
+    @staticmethod
+    def _catches_everything(handler: ast.ExceptHandler) -> bool:
+        if handler.type is None:
+            return True
+        if isinstance(handler.type, ast.Tuple):
+            names = [_dotted(e) for e in handler.type.elts]
+        else:
+            names = [_dotted(handler.type)]
+        return any(n is not None and
+                   n.split(".")[-1] in ("BaseException", "Exception")
+                   for n in names)
+
+    def _can_raise(self, stmt: ast.stmt) -> bool:
+        """Whether a leaf statement belongs on the exception channel."""
+        calls = [n for n in ast.walk(stmt) if isinstance(n, ast.Call)]
+        if not calls:
+            return False
+        return not all(
+            isinstance(c.func, ast.Attribute) and
+            c.func.attr in self.CLEANUP_METHODS
+            for c in calls)
+
+    def _join_falls(self, a: Optional[S],
+                    b: Optional[S]) -> Optional[S]:
+        live = [s for s in (a, b) if s is not None]
+        if not live:
+            return None
+        return _join(live)
+
+    def _summary_args(self, node: ast.Call,
+                      callee: str) -> Iterator[tuple[str, str]]:
+        """``(argument name, callee parameter)`` for every positional
+        argument of a summarized call that is a plain Name."""
+        params = _params(self.graph.functions[callee])
+        for arg, param in zip(node.args, params):
+            if isinstance(arg, ast.Name):
+                yield arg.id, param
+
+
+def _fixpoint(graph: CallGraph, walker: type[_Walker[S, M]]) -> dict[str, M]:
+    """Every function's summary in one domain, iterated to a fixpoint
+    (at most 8 passes) and cached on the graph."""
+    cache = f"_{walker.__name__}_summaries"
+    cached: Optional[dict[str, M]] = getattr(graph, cache, None)
+    if cached is not None:
+        return cached
+    summaries: dict[str, M] = {}
+    for _ in range(8):
+        changed = False
+        for qname in sorted(graph.functions):
+            interp = walker(graph, graph.functions[qname], summaries)
+            summary = interp.summarize(interp.run())
+            prior = summaries.get(qname)
+            if prior is None or prior.key() != summary.key():
+                summaries[qname] = summary
+                changed = True
+        if not changed:
+            break
+    setattr(graph, cache, summaries)
+    return summaries
+
+
+def _zone_runs(graph: CallGraph, rule_policy: RulePolicy,
+               walker: type[W]) -> Iterator[tuple[str, W, _ExitBundle]]:
+    """``(module, interpreter, exits)`` for every function in the rule's
+    zones, interpreted against the domain's summaries."""
+    summaries = _fixpoint(graph, walker)
+    for qname in sorted(graph.functions):
+        fn = graph.functions[qname]
+        if rule_policy.applies_to(fn.module):
+            interp = walker(graph, fn, summaries)
+            yield fn.module, interp, interp.run()
+
+
+def _tail(qname: str) -> str:
+    parts = qname.split(".")
+    if len(parts) >= 2 and parts[-2][:1].isupper():
+        return ".".join(parts[-2:])
+    return parts[-1]
+
+
+def _chain_suffix(verb: str, chain: tuple[str, ...]) -> str:
+    if not chain:
+        return ""
+    return f" ({verb} " + " -> ".join(_tail(q) for q in chain) + ")"
+
+
+# ---------------------------------------------------------------------------
+# ATOM01/RES01 — the file-handle/path domain
+# ---------------------------------------------------------------------------
+
+_WRITE_MODE_CHARS = frozenset("wax+")
+_HANDLE_WRITES = frozenset({"write", "writelines"})
+_PATH_WRITES = frozenset({"write_text", "write_bytes"})
+_RENAME_METHODS = frozenset({"rename", "replace"})
+#: shutil entry points that write their destination without fsync.
+_COPY_FNS = frozenset({"copy", "copy2", "copyfile", "move"})
+
+
+def _call_mode(node: ast.Call, *, skip_first: bool) -> Optional[str]:
+    args = node.args[1:] if skip_first else node.args
+    candidates: list[ast.expr] = list(args[:1])
+    candidates.extend(kw.value for kw in node.keywords if kw.arg == "mode")
+    for arg in candidates:
+        if isinstance(arg, ast.Constant) and isinstance(arg.value, str):
+            return arg.value
+    return None
+
+
+def _open_target(node: ast.Call) -> Optional[tuple[Optional[str], str]]:
+    """``(path_var, mode)`` if this is a writable open, else None.
+
+    Recognizes ``open(p, "wb")`` and ``p.open("wb")``; the path var is
+    the Name the call opens, or None when the path expression is
+    computed.
+    """
+    func = node.func
+    if isinstance(func, ast.Name) and func.id == "open":
+        mode = _call_mode(node, skip_first=True)
+        path = node.args[0] if node.args else None
+    elif isinstance(func, ast.Attribute) and func.attr == "open":
+        mode = _call_mode(node, skip_first=False)
+        path = func.value
+    else:
+        return None
+    if mode is None or not (_WRITE_MODE_CHARS & set(mode)):
+        return None
+    name = path.id if isinstance(path, ast.Name) else None
+    return name, mode
+
+
+@dataclass(frozen=True)
+class _Handle:
+    open: bool
+    written: bool
+    fsynced: bool
+    path: Optional[str]          # path variable the handle writes to
+    auto_close: bool             # opened via ``with`` — closes itself
+    line: int
+    col: int
+    chain: tuple[str, ...] = ()  # helper chain that produced it
+    MAY: ClassVar[tuple[str, ...]] = ("open", "written")
+    MUST: ClassVar[tuple[str, ...]] = ("fsynced",)
+
+
+@dataclass(frozen=True)
+class _PathState:
+    written: bool
+    fsynced: bool
+    line: int
+    chain: tuple[str, ...] = ()
+    MAY: ClassVar[tuple[str, ...]] = ("written",)
+    MUST: ClassVar[tuple[str, ...]] = ("fsynced",)
+
+
+_ABSENT_PATH = _PathState(written=False, fsynced=True, line=0)
+
+
+@dataclass
+class _State:
+    handles: dict[str, _Handle] = field(default_factory=dict)
+    paths: dict[str, _PathState] = field(default_factory=dict)
+    ABSENT: ClassVar[dict[str, Any]] = {
+        "handles": _Handle(open=False, written=False, fsynced=True,
+                           path=None, auto_close=False, line=0, col=0),
+        "paths": _ABSENT_PATH}
+
+    def copy(self) -> "_State":
+        return _State(dict(self.handles), dict(self.paths))
+
+
+@dataclass(frozen=True)
+class _Summary:
+    """What calling a function does to its arguments / return value."""
+
+    #: param name -> subset of {"writes", "fsyncs", "closes"}.
+    handle_params: dict[str, frozenset[str]] = field(default_factory=dict)
+    #: param name -> helper chain that performs its "writes" effect
+    #: (this function first), so callers can print provenance.
+    write_chains: dict[str, tuple[str, ...]] = field(default_factory=dict)
+    #: param name -> ("dirty" | "clean", chain) — the function writes
+    #: the path without / with a dominating fsync.
+    path_params: dict[str, tuple[str, tuple[str, ...]]] = \
+        field(default_factory=dict)
+    #: Returns a handle still open (caller takes ownership), chain.
+    returns_open: Optional[tuple[str, ...]] = None
+    #: Returns a path written without a dominating fsync, chain.
+    returns_dirty: Optional[tuple[str, ...]] = None
+
+    def key(self) -> tuple:
+        return (tuple(sorted((k, tuple(sorted(v)))
+                             for k, v in self.handle_params.items())),
+                tuple(sorted(self.write_chains.items())),
+                tuple(sorted(self.path_params.items())),
+                self.returns_open, self.returns_dirty)
+
+
+class _Interpreter(_Walker[_State, _Summary]):
+    """The file-handle/path domain of the walk (ATOM01/RES01)."""
+
+    #: ``h.close()`` raising is beyond the protocol's scope, and
+    #: snapshotting its pre-state would flag the canonical
+    #: try/finally-close as a leak.
+    CLEANUP_METHODS = frozenset({"close"})
+
+    def __init__(self, graph: CallGraph, fn: FunctionInfo,
+                 summaries: dict[str, _Summary]) -> None:
+        super().__init__(graph, fn, summaries)
+        self.param_handle_effects: dict[str, set[str]] = {}
+        #: param -> helper chain behind its first "writes" effect.
+        self.param_write_chains: dict[str, tuple[str, ...]] = {}
+        #: (loc-name | None) -> interpreted chain, for open handles
+        #: acquired locally — used for RES01 reporting.
+        self.opened: dict[str, _Handle] = {}
+        #: Names returned while holding an open handle / dirty path.
+        self.returned_open: Optional[tuple[str, ...]] = None
+        self.returned_dirty: Optional[tuple[str, ...]] = None
+        self.findings: list[Finding] = []
+
+    def _initial_state(self) -> _State:
+        state = _State()
+        for param in self.params:
+            # Parameters start as clean tracked paths so writes through
+            # them surface in the summary; handle effects are recorded
+            # as ops touch the raw names.
+            state.paths[param] = _PathState(written=False, fsynced=True,
+                                            line=self.fn.node.lineno)
+        return state
+
     def _exec_with(self, stmt: ast.With | ast.AsyncWith,
-                   state: _State) -> _ExitBundle:
+                   state: _State) -> _ExitBundle[_State]:
         managed: list[str] = []
         for item in stmt.items:
             expr = item.context_expr
@@ -345,74 +582,6 @@ class _Interpreter:
             fall=None if body.fall is None else close_managed(body.fall),
             returns=[(close_managed(s), n) for s, n in body.returns],
             exc=[close_managed(s) for s in body.exc])
-
-    def _exec_try(self, stmt: ast.Try, state: _State) -> _ExitBundle:
-        body = self._exec_block(stmt.body, state.copy())
-        handler_in = _join(body.exc) if body.exc else None
-        absorbs_all = any(self._catches_everything(h)
-                          for h in stmt.handlers)
-        escaping: list[_State] = [] if absorbs_all else list(body.exc)
-        returns = list(body.returns)
-        falls: list[Optional[_State]] = []
-        if body.fall is not None:
-            orelse = self._exec_block(stmt.orelse, body.fall)
-            falls.append(orelse.fall)
-            returns.extend(orelse.returns)
-            escaping.extend(orelse.exc)
-        for handler in stmt.handlers:
-            if handler_in is None:
-                break
-            handled = self._exec_block(handler.body, handler_in.copy())
-            falls.append(handled.fall)
-            returns.extend(handled.returns)
-            escaping.extend(handled.exc)
-        live_falls = [f for f in falls if f is not None]
-        fall = _join(live_falls) if live_falls else None
-        if stmt.finalbody:
-            def through_finally(s: _State) -> Optional[_State]:
-                done = self._exec_block(stmt.finalbody, s.copy())
-                # Returns/raises inside finally are rare enough to
-                # fold into the fallthrough approximation.
-                return done.fall
-            fall = through_finally(fall) if fall is not None else None
-            returns = [(through_finally(s) or s, n) for s, n in returns]
-            escaping = [through_finally(s) or s for s in escaping]
-        return _ExitBundle(fall=fall, returns=returns, exc=escaping)
-
-    @staticmethod
-    def _catches_everything(handler: ast.ExceptHandler) -> bool:
-        if handler.type is None:
-            return True
-        names = []
-        if isinstance(handler.type, ast.Tuple):
-            names = [_dotted(e) for e in handler.type.elts]
-        else:
-            names = [_dotted(handler.type)]
-        return any(n is not None and
-                   n.split(".")[-1] in ("BaseException", "Exception")
-                   for n in names)
-
-    def _can_raise(self, stmt: ast.stmt) -> bool:
-        """Whether a leaf statement belongs on the exception channel.
-
-        Close-only statements are excluded: ``h.close()`` raising is
-        beyond the protocol's scope, and snapshotting its pre-state
-        would flag the canonical try/finally-close as a leak.
-        """
-        calls = [n for n in ast.walk(stmt) if isinstance(n, ast.Call)]
-        if not calls:
-            return False
-        return not all(
-            isinstance(c.func, ast.Attribute) and c.func.attr == "close"
-            for c in calls)
-
-    @staticmethod
-    def _join_falls(a: Optional[_State],
-                    b: Optional[_State]) -> Optional[_State]:
-        live = [s for s in (a, b) if s is not None]
-        if not live:
-            return None
-        return _join(live)
 
     # -- operations -----------------------------------------------------
 
@@ -464,8 +633,7 @@ class _Interpreter:
                 self._apply_call(node, state, skip_open=skip_open)
 
     def _bind(self, target: str, value: ast.expr, state: _State) -> None:
-        state.handles.pop(target, None)
-        state.paths.pop(target, None)
+        _forget(state, target)
         if not isinstance(value, ast.Call):
             return
         opened = _open_target(value)
@@ -549,25 +717,11 @@ class _Interpreter:
         # the conservative, non-flagging direction.
         for arg in node.args:
             if isinstance(arg, ast.Name):
-                state.handles.pop(arg.id, None)
-                state.paths.pop(arg.id, None)
+                _forget(state, arg.id)
 
     def _apply_summary(self, node: ast.Call, callee: str,
                        summary: _Summary, state: _State) -> None:
-        callee_fn = self.graph.functions[callee]
-        callee_args = callee_fn.node.args
-        params = [a.arg for a in (*callee_args.posonlyargs,
-                                  *callee_args.args,
-                                  *callee_args.kwonlyargs)]
-        offset = 1 if callee_fn.cls is not None else 0
-        for index, arg in enumerate(node.args):
-            if not isinstance(arg, ast.Name):
-                continue
-            param_index = index + offset
-            if param_index >= len(params):
-                break
-            param = params[param_index]
-            name = arg.id
+        for name, param in self._summary_args(node, callee):
             for effect in sorted(summary.handle_params.get(param, ())):
                 if effect == "closes":
                     self._close(name, state)
@@ -647,10 +801,7 @@ class _Interpreter:
         path = state.paths.get(src)
         if path is None or not path.written or path.fsynced:
             return
-        via = ""
-        if path.chain:
-            via = " (written via " + " -> ".join(
-                _tail(q) for q in path.chain) + ")"
+        via = _chain_suffix("written via", path.chain)
         self.findings.append(Finding(
             node.lineno,
             getattr(node, "end_lineno", None) or node.lineno,
@@ -661,68 +812,35 @@ class _Interpreter:
             "before renaming, or route through "
             "measure.io.write_shard/atomic_writer"))
 
-
-def _tail(qname: str) -> str:
-    parts = qname.split(".")
-    if len(parts) >= 2 and parts[-2][:1].isupper():
-        return ".".join(parts[-2:])
-    return parts[-1]
-
-
-# ---------------------------------------------------------------------------
-# summary fixpoint + the two project rules
-# ---------------------------------------------------------------------------
-
-
-def build_summaries(graph: CallGraph,
-                    max_passes: int = 8) -> dict[str, _Summary]:
-    cached = getattr(graph, "_protocol_summaries", None)
-    if cached is not None:
-        return cached
-    summaries: dict[str, _Summary] = {}
-    for _ in range(max_passes):
-        changed = False
-        for qname in sorted(graph.functions):
-            fn = graph.functions[qname]
-            interp = _Interpreter(graph, fn, summaries)
-            bundle = interp.run()
-            exits = [s for s, _ in bundle.returns]
-            if bundle.fall is not None:
-                exits.append(bundle.fall)
-            end = _join(exits) if exits else _State()
-            path_params: dict[str, tuple[str, tuple[str, ...]]] = {}
-            for param in interp.params:
-                pstate = end.paths.get(param)
-                if pstate is not None and pstate.written:
-                    kind = "clean" if pstate.fsynced else "dirty"
-                    chain = ((qname,) + pstate.chain
-                             if not pstate.chain or
-                             pstate.chain[0] != qname
-                             else pstate.chain)
-                    path_params[param] = (kind, chain)
-            write_chains: dict[str, tuple[str, ...]] = {}
-            for param, effects in interp.param_handle_effects.items():
-                if "writes" not in effects:
-                    continue
-                inner = interp.param_write_chains.get(param, ())
-                write_chains[param] = (
-                    inner if inner and inner[0] == qname
-                    else (qname,) + inner)
-            summary = _Summary(
-                handle_params={k: frozenset(v) for k, v in
-                               interp.param_handle_effects.items()},
-                write_chains=write_chains,
-                path_params=path_params,
-                returns_open=interp.returned_open,
-                returns_dirty=interp.returned_dirty)
-            prior = summaries.get(qname)
-            if prior is None or prior.key() != summary.key():
-                summaries[qname] = summary
-                changed = True
-        if not changed:
-            break
-    graph._protocol_summaries = summaries  # type: ignore[attr-defined]
-    return summaries
+    def summarize(self, bundle: _ExitBundle[_State]) -> _Summary:
+        qname = self.fn.qname
+        exits = bundle.normal()
+        end = _join(exits) if exits else _State()
+        path_params: dict[str, tuple[str, tuple[str, ...]]] = {}
+        for param in self.params:
+            pstate = end.paths.get(param)
+            if pstate is not None and pstate.written:
+                kind = "clean" if pstate.fsynced else "dirty"
+                chain = ((qname,) + pstate.chain
+                         if not pstate.chain or
+                         pstate.chain[0] != qname
+                         else pstate.chain)
+                path_params[param] = (kind, chain)
+        write_chains: dict[str, tuple[str, ...]] = {}
+        for param, effects in self.param_handle_effects.items():
+            if "writes" not in effects:
+                continue
+            inner = self.param_write_chains.get(param, ())
+            write_chains[param] = (
+                inner if inner and inner[0] == qname
+                else (qname,) + inner)
+        return _Summary(
+            handle_params={k: frozenset(v) for k, v in
+                           self.param_handle_effects.items()},
+            write_chains=write_chains,
+            path_params=path_params,
+            returns_open=self.returned_open,
+            returns_dirty=self.returned_dirty)
 
 
 class AtomicRenameRule(ProjectRule):
@@ -733,15 +851,10 @@ class AtomicRenameRule(ProjectRule):
 
     def check_project(self, graph: CallGraph, rule_policy: RulePolicy,
                       ) -> Iterator[tuple[str, Finding]]:
-        summaries = build_summaries(graph)
-        for qname in sorted(graph.functions):
-            fn = graph.functions[qname]
-            if not rule_policy.applies_to(fn.module):
-                continue
-            interp = _Interpreter(graph, fn, summaries)
-            interp.run()
+        for module, interp, _ in _zone_runs(graph, rule_policy,
+                                            _Interpreter):
             for finding in interp.findings:
-                yield fn.module, finding
+                yield module, finding
 
 
 class HandleLeakRule(ProjectRule):
@@ -752,42 +865,27 @@ class HandleLeakRule(ProjectRule):
 
     def check_project(self, graph: CallGraph, rule_policy: RulePolicy,
                       ) -> Iterator[tuple[str, Finding]]:
-        summaries = build_summaries(graph)
-        for qname in sorted(graph.functions):
-            fn = graph.functions[qname]
-            if not rule_policy.applies_to(fn.module):
-                continue
-            interp = _Interpreter(graph, fn, summaries)
-            bundle = interp.run()
-            yield from ((fn.module, finding) for finding in
-                        self._leaks(fn, interp, bundle))
+        for module, interp, bundle in _zone_runs(graph, rule_policy,
+                                                 _Interpreter):
+            yield from ((module, finding) for finding in
+                        self._leaks(interp, bundle))
 
     @staticmethod
-    def _leaks(fn: FunctionInfo, interp: _Interpreter,
-               bundle: _ExitBundle) -> Iterator[Finding]:
-        normal = [s for s, _ in bundle.returns]
-        if bundle.fall is not None:
-            normal.append(bundle.fall)
+    def _leaks(interp: _Interpreter,
+               bundle: _ExitBundle[_State]) -> Iterator[Finding]:
         for name in sorted(interp.opened):
             origin = interp.opened[name]
             if origin.auto_close:
                 continue
-            via = ""
-            if origin.chain:
-                via = " (acquired via " + " -> ".join(
-                    _tail(q) for q in origin.chain) + ")"
-            open_normal = any(
-                s.handles.get(name, _ABSENT_HANDLE).open for s in normal)
-            open_exc = any(
-                s.handles.get(name, _ABSENT_HANDLE).open
-                for s in bundle.exc)
-            if open_normal:
+            via = _chain_suffix("acquired via", origin.chain)
+            normal, exc = bundle.records("handles", name)
+            if any(h.open for h in normal):
                 yield Finding(
                     origin.line, origin.line, origin.col,
                     f"writable handle '{name}' is not closed on all "
                     f"paths{via} — close it on every exit, or use "
                     "'with'")
-            elif open_exc:
+            elif any(h.open for h in exc):
                 yield Finding(
                     origin.line, origin.line, origin.col,
                     f"writable handle '{name}' leaks on exception "

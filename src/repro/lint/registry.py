@@ -1,10 +1,11 @@
 """The complete rule registry: per-file rules + whole-program rules.
 
 :mod:`repro.lint.rules` holds the per-file rules and the base classes;
-the interprocedural rules live in :mod:`repro.lint.taint` and
-:mod:`repro.lint.protocol`, which import from ``rules`` — so the
-combined registry has to live above all three to avoid an import
-cycle. The engine and CLI import from here.
+the interprocedural rules live in :mod:`repro.lint.taint`,
+:mod:`repro.lint.protocol`, :mod:`repro.lint.concurrency` and
+:mod:`repro.lint.units`, which import from ``rules`` — so the combined
+registry has to live above all of them to avoid an import cycle. The
+engine and CLI import from here.
 """
 
 from __future__ import annotations
