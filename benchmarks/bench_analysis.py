@@ -1,13 +1,10 @@
-"""Vectorized analysis benchmark: full figure/table pipeline at scale.
+"""Analysis benchmark: full figure/table pipeline at scale.
 
 Synthesizes a paper-scale result set (>= 50k download records across
 13 transports, two access methods, and a realistic target panel), then
-runs the whole statistical pipeline the report generator needs — box
-plots, per-PT means, ECDF construction + evaluation, the full paired
-t-test matrix, category t-tests, and reliability fractions — once per
-backend engine. Asserts the outputs are identical (the backend's
-bit-equality contract) and, when numpy is importable, that the numpy
-engine is >= 3x faster than the pure-python fallback.
+times one run of the whole statistical pipeline the report generator
+needs — box plots, per-PT means, ECDF construction + evaluation, the
+full paired t-test matrix, category t-tests, and reliability fractions.
 """
 
 from __future__ import annotations
@@ -117,58 +114,19 @@ def run_pipeline(results: ResultSet) -> dict:
     return out
 
 
-def _timed_run(results: ResultSet) -> tuple[float, dict]:
-    # Drop memoized reduction results so every round measures the
-    # engine's throughput, not a cache hit (extracted columns stay).
-    results.columns().clear_derived()
-    start = time.perf_counter()
-    out = run_pipeline(results)
-    return time.perf_counter() - start, out
-
-
 def test_bench_analysis_backend(benchmark):
     results = synthesize_records()
     n = len(results)
     assert n >= 50_000
-    # Columnar extraction (one pass over the records) is shared state,
-    # engine-independent; build it outside the timed region so the
-    # engines are compared on the reductions they actually implement.
+    # Columnar extraction (one pass over the records) is built outside
+    # the timed region, so the timing covers the reductions alone.
     results.columns()
-
-    if backend.numpy_available():
-        # Interleave the engines round by round (min-of-4 each) so CPU
-        # frequency drift and neighbor noise hit both sides equally.
-        python_s = numpy_s = float("inf")
-        python_out = numpy_out = None
-        with backend.use_engine("numpy"):
-            benchmark.pedantic(lambda: run_pipeline(results),
-                               rounds=1, iterations=1)
-        for _ in range(4):
-            with backend.use_engine("python"):
-                elapsed, python_out = _timed_run(results)
-                python_s = min(python_s, elapsed)
-            with backend.use_engine("numpy"):
-                elapsed, numpy_out = _timed_run(results)
-                numpy_s = min(numpy_s, elapsed)
-    else:
-        benchmark.pedantic(lambda: run_pipeline(results),
-                           rounds=1, iterations=1)
-        python_s = min(_timed_run(results)[0] for _ in range(4))
-        numpy_s, numpy_out = None, None
-
+    start = time.perf_counter()
+    benchmark.pedantic(lambda: run_pipeline(results), rounds=1, iterations=1)
+    elapsed = time.perf_counter() - start
     print(f"\nanalysis pipeline over {n} records "
-          f"({len(_PTS)} PTs x {_N_TARGETS} targets x 2 methods)")
-    print(f"  python fallback: {seconds_to_ms(python_s):7.1f} ms")
-    if numpy_s is not None:
-        print(f"  numpy backend:   {seconds_to_ms(numpy_s):7.1f} ms   "
-              f"speedup {python_s / numpy_s:.2f}x")
-        # The backend contract: identical results, not just close ones.
-        assert numpy_out == python_out
-        assert python_s / numpy_s >= 3.0, (
-            f"expected >= 3x speedup with numpy, got "
-            f"{python_s / numpy_s:.2f}x")
-    else:
-        print("  numpy backend:   unavailable (fallback-only run)")
+          f"({len(_PTS)} PTs x {_N_TARGETS} targets x 2 methods): "
+          f"{seconds_to_ms(elapsed):7.1f} ms")
 
 
 def test_bench_analysis_matches_legacy_semantics():

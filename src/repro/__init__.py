@@ -15,16 +15,9 @@ Quickstart::
     print(result.comparison())
 """
 
-from repro.core import (
-    EXPERIMENTS,
-    ExperimentResult,
-    PTPerf,
-    Scale,
-    World,
-    WorldConfig,
-    list_experiments,
-    run_experiment,
-)
+from __future__ import annotations
+
+from typing import Any
 
 __version__ = "1.0.0"
 
@@ -32,3 +25,17 @@ __all__ = [
     "EXPERIMENTS", "ExperimentResult", "PTPerf", "Scale", "World",
     "WorldConfig", "__version__", "list_experiments", "run_experiment",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    """Resolve the simulator's public names on first use (PEP 562).
+
+    Importing a subpackage such as :mod:`repro.lint` runs this package
+    first; deferring :mod:`repro.core` keeps that from loading the
+    whole simulator.
+    """
+    if name in __all__:
+        from repro import core
+
+        return getattr(core, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -1,8 +1,8 @@
 """Aggregation helpers bridging result sets and the statistics layer.
 
 Every reduction here extracts its values through the result set's
-columnar view (one pass over the records, grouped by the backend
-engine) instead of re-filtering the full record list per transport —
+columnar view (one pass over the records, grouped by the analysis
+backend) instead of re-filtering the full record list per transport —
 the old per-PT ``filter()`` loops were O(PTs x records) and dominated
 paper-scale analysis runs.
 

@@ -189,35 +189,10 @@ def test_retained_columnstore_is_a_snapshot():
     rs = ResultSet([rec(pt="tor", ttfb=0.5)])
     cols = rs.columns()
     rs.append(rec(pt="tor", ttfb=1.5))
-    # The retained store reflects build time in every engine...
+    # The retained store reflects build time...
     assert cols.grouped_values("ttfb_s", by="pt").group("tor") == [0.5]
     # ...while the result set serves a rebuilt, current view.
     assert rs.values_by("ttfb_s").group("tor") == [0.5, 1.5]
-
-
-def test_columnar_extraction_engine_equivalence():
-    """ResultSet reductions are bit-identical across backend engines."""
-    from repro.analysis import backend
-
-    if not backend.numpy_available():
-        pytest.skip("numpy not installed")
-    rs = ResultSet()
-    for i in range(60):
-        rs.append(rec(pt=f"pt{i % 4}", target=f"t{i % 7}",
-                      duration=1.0 + (i * 7919 % 13) / 3.0,
-                      ttfb=None if i % 5 == 0 else 0.1 * i,
-                      method=Method.CURL if i % 2 else Method.SELENIUM))
-    with backend.use_engine("python"):
-        table_py = rs.per_target_mean_table("duration_s", Method.CURL)
-        grouped_py = rs.values_by("ttfb_s", method=Method.CURL)
-        status_py = rs.columns().status_fractions_by_pt()
-    with backend.use_engine("numpy"):
-        table_np = rs.per_target_mean_table("duration_s", Method.CURL)
-        grouped_np = rs.values_by("ttfb_s", method=Method.CURL)
-        status_np = rs.columns().status_fractions_by_pt()
-    assert table_py == table_np
-    assert grouped_py == grouped_np
-    assert status_py == status_np
 
 
 # ---------------------------------------------------------------------------
